@@ -99,13 +99,6 @@ class SketchReport:
     #: produced before the analyzer existed.
     static_prune_hits: int = 0
     static_prune_misses: int = 0
-    #: Compiled-membership (DFA) cache hits during this sketch's search,
-    #: automata compiled by it, and milliseconds spent compiling — zero in
-    #: reports produced before the automata-backed evaluator existed and
-    #: when the engine ran with a non-compiled evaluator.
-    dfa_cache_hits: int = 0
-    dfa_compiled: int = 0
-    dfa_compile_ms: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -124,9 +117,6 @@ class SketchReport:
             "encode_cache_hits": self.encode_cache_hits,
             "static_prune_hits": self.static_prune_hits,
             "static_prune_misses": self.static_prune_misses,
-            "dfa_cache_hits": self.dfa_cache_hits,
-            "dfa_compiled": self.dfa_compiled,
-            "dfa_compile_ms": self.dfa_compile_ms,
         }
 
     @classmethod
@@ -147,9 +137,6 @@ class SketchReport:
             encode_cache_hits=data.get("encode_cache_hits", 0),
             static_prune_hits=data.get("static_prune_hits", 0),
             static_prune_misses=data.get("static_prune_misses", 0),
-            dfa_cache_hits=data.get("dfa_cache_hits", 0),
-            dfa_compiled=data.get("dfa_compiled", 0),
-            dfa_compile_ms=data.get("dfa_compile_ms", 0.0),
         )
 
 
@@ -217,18 +204,6 @@ class RunReport:
     @property
     def total_solver_conflicts(self) -> int:
         return sum(report.solver_conflicts for report in self.sketches)
-
-    @property
-    def total_dfa_cache_hits(self) -> int:
-        return sum(report.dfa_cache_hits for report in self.sketches)
-
-    @property
-    def total_dfa_compiled(self) -> int:
-        return sum(report.dfa_compiled for report in self.sketches)
-
-    @property
-    def total_dfa_compile_ms(self) -> float:
-        return sum(report.dfa_compile_ms for report in self.sketches)
 
     @property
     def eval_cache_hit_rate(self) -> float:

@@ -217,10 +217,7 @@ def _solve_sketch_worker(
     config = SynthesisConfig(**config_dict)
     config.timeout = max(0.05, min(config.timeout, deadline - time.monotonic()))
     engine = Synthesizer(config)
-    result = engine.synthesize(
-        parse_sketch(sketch_text),
-        Examples(positive, negative, evaluator=config.evaluator),
-    )
+    result = engine.synthesize(parse_sketch(sketch_text), Examples(positive, negative))
     return {
         "regexes": [to_dsl_string(regex) for regex in result.regexes],
         "timed_out": result.timed_out,
@@ -235,9 +232,6 @@ def _solve_sketch_worker(
         "encode_cache_hits": result.encode_cache_hits,
         "static_prune_hits": result.static_prune_hits,
         "static_prune_misses": result.static_prune_misses,
-        "dfa_cache_hits": result.dfa_cache_hits,
-        "dfa_compiled": result.dfa_compiled,
-        "dfa_compile_ms": result.dfa_compile_ms,
     }
 
 
@@ -318,9 +312,6 @@ class ProcessPoolScheduler:
                         encode_cache_hits=payload.get("encode_cache_hits", 0),
                         static_prune_hits=payload.get("static_prune_hits", 0),
                         static_prune_misses=payload.get("static_prune_misses", 0),
-                        dfa_cache_hits=payload.get("dfa_cache_hits", 0),
-                        dfa_compiled=payload.get("dfa_compiled", 0),
-                        dfa_compile_ms=payload.get("dfa_compile_ms", 0.0),
                     )
                     for regex in result.regexes:
                         yield Found(index, regex)

@@ -20,6 +20,7 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.automata.operations import language_nonempty
+from repro.automata.sampling import language_is_universal
 from repro.datasets.benchmark import Benchmark
 from repro.datasets.examples_gen import attach_examples
 from repro.dsl import ast as rast
@@ -151,8 +152,9 @@ def generate_deepregex_dataset(
         regex_text = to_dsl_string(regex)
         if regex_text in seen_regexes:
             continue
-        # Filter degenerate benchmarks (empty language), as in Section 7.
-        if not language_nonempty(regex):
+        # Filter degenerate benchmarks, as in Section 7: an empty language has
+        # no positive examples and a universal one no negative examples.
+        if not language_nonempty(regex) or language_is_universal(regex):
             continue
         seen_regexes.add(regex_text)
         benchmark = Benchmark(

@@ -55,11 +55,6 @@ class SynthesisConfig:
     #: Extra literal characters (beyond predefined classes) allowed as leaves;
     #: by default literals are harvested from the positive examples.
     extra_literals: str = ""
-    #: Membership evaluator (see :data:`repro.synthesis.examples.EVALUATORS`):
-    #: ``dfa`` compiles concrete subtrees onto the automata backend (the
-    #: production default), ``matchset`` forces the pure match-set evaluator,
-    #: ``recursive`` the boolean-recursion reference oracle.
-    evaluator: str = "dfa"
 
     def for_variant(self, variant: EngineVariant) -> "SynthesisConfig":
         """Return a copy of this configuration specialised to an ablation variant."""

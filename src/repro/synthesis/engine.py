@@ -21,7 +21,6 @@ from itertools import count
 from typing import List, Optional
 
 from repro.analysis.check import prune_checker
-from repro.automata.membership import MEMBERSHIP_CACHE_STATS
 from repro.dsl import ast as rast
 from repro.dsl.printer import to_dsl_string
 from repro.dsl.simplify import simplify, size as regex_size
@@ -78,12 +77,6 @@ class SynthesisResult:
     #: (hits), and successors the analyzer could not rule out (misses).
     static_prune_hits: int = 0
     static_prune_misses: int = 0
-    #: Compiled-membership cache hits attributed to this run (automaton and
-    #: batched-verdict lookups answered by the process-global DFA caches),
-    #: automata compiled during it, and milliseconds spent compiling them.
-    dfa_cache_hits: int = 0
-    dfa_compiled: int = 0
-    dfa_compile_ms: float = 0.0
 
     @property
     def solved(self) -> bool:
@@ -165,10 +158,6 @@ class SynthesisRun:
         propagations_base = solver_stats.propagations
         conflicts_base = solver_stats.conflicts
         encode_hits_base = ENCODE_CACHE_STATS.hits
-        membership_stats = MEMBERSHIP_CACHE_STATS
-        dfa_hits_base = membership_stats.hits
-        dfa_compiled_base = membership_stats.compiled
-        dfa_seconds_base = membership_stats.compile_seconds
 
         while self._worklist and not self._done:
             if result.expansions >= config.max_expansions:
@@ -233,11 +222,6 @@ class SynthesisRun:
         result.solver_propagations += solver_stats.propagations - propagations_base
         result.solver_conflicts += solver_stats.conflicts - conflicts_base
         result.encode_cache_hits += ENCODE_CACHE_STATS.hits - encode_hits_base
-        result.dfa_cache_hits += membership_stats.hits - dfa_hits_base
-        result.dfa_compiled += membership_stats.compiled - dfa_compiled_base
-        result.dfa_compile_ms += (
-            membership_stats.compile_seconds - dfa_seconds_base
-        ) * 1000.0
         # NB: result.regexes is append-only across steps (no re-sorting here);
         # incremental consumers rely on stable indices to detect new finds.
         return result
@@ -320,6 +304,4 @@ def synthesize(
     """
     config = (config or SynthesisConfig()).for_variant(variant)
     engine = Synthesizer(config)
-    return engine.synthesize(
-        sketch, Examples(positive, negative, evaluator=config.evaluator)
-    )
+    return engine.synthesize(sketch, Examples(positive, negative))

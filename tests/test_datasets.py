@@ -70,6 +70,13 @@ class TestDeepRegexGeneration:
     def test_unique_regexes(self, dataset):
         assert len({b.regex_text for b in dataset}) == len(dataset)
 
+    def test_universal_languages_are_skipped(self):
+        # Seed 2020 draws Contains(KleeneStar(<->)), which matches every
+        # string, before its 40th benchmark.
+        dataset = generate_deepregex_dataset(count=40, seed=2020)
+        assert len(dataset) == 40
+        assert all(benchmark.negative for benchmark in dataset)
+
     def test_deterministic_for_seed(self):
         first = generate_deepregex_dataset(count=5, seed=3, with_examples=False)
         second = generate_deepregex_dataset(count=5, seed=3, with_examples=False)

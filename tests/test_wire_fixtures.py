@@ -3,7 +3,7 @@
 The fixtures under ``tests/fixtures/`` are committed renderings of the
 `Problem`/`RunReport` JSON wire format:
 
-* ``problem_v1.json`` / ``run_report_v1.json`` — the current schema.  The
+* ``problem_v1.json`` / ``run_report_v2.json`` — the current schema.  The
   round-trip tests pin every field: if a field is renamed or dropped, these
   fail and the change is a conscious wire-format break, not an accident.
 * ``run_report_v0_legacy.json`` — a report as an old client/server (pre
@@ -11,6 +11,9 @@ The fixtures under ``tests/fixtures/`` are committed renderings of the
   backward-compat test proves new code still reads it, with the new fields
   taking their documented defaults — so future telemetry fields must stay
   optional-with-default too.
+* ``run_report_v1.json`` — a report carrying the ``dfa_*`` per-sketch
+  counters of the retired compiled-membership evaluator.  It is load-only:
+  current code must still read it and simply drop the retired keys.
 * ``batch_v1.json`` — a persisted :class:`~repro.service.BatchRecord` as the
   batch-ingestion endpoint writes it.  Records outlive server processes (that
   is their whole point), so the on-disk shape is a compatibility surface just
@@ -49,7 +52,7 @@ class TestProblemGolden:
         # problem.  If this fails, either hashing changed (cache-busting —
         # update the fixture deliberately) or serialisation changed.
         problem = Problem.from_dict(_load("problem_v1.json"))
-        report = _load("run_report_v1.json")
+        report = _load("run_report_v2.json")
         assert problem.cache_key() == report["cache_key"]
 
     def test_unknown_fields_are_ignored(self):
@@ -61,23 +64,20 @@ class TestProblemGolden:
 
 class TestRunReportGolden:
     def test_round_trip_preserves_every_field(self):
-        data = _load("run_report_v1.json")
+        data = _load("run_report_v2.json")
         report = RunReport.from_dict(data)
         assert report.to_dict() == data
 
     def test_solutions_parse_back_into_the_dsl(self):
-        report = RunReport.from_dict(_load("run_report_v1.json"))
+        report = RunReport.from_dict(_load("run_report_v2.json"))
         for solution in report.solutions:
             assert parse_regex(solution.regex) is solution.ast()
 
     def test_telemetry_fields(self):
-        report = RunReport.from_dict(_load("run_report_v1.json"))
+        report = RunReport.from_dict(_load("run_report_v2.json"))
         assert report.total_expansions == 430
         assert report.total_eval_cache_hits == 3000
         assert report.total_solver_propagations == 60
-        assert report.total_dfa_cache_hits == 2450
-        assert report.total_dfa_compiled == 87
-        assert report.total_dfa_compile_ms == 11.0
         assert report.provenance == "engine"
 
 
@@ -92,15 +92,18 @@ class TestBackwardCompat:
         assert sketch.eval_cache_hits == 0
         assert sketch.solver_propagations == 0
         assert sketch.encode_cache_hits == 0
-        assert sketch.dfa_cache_hits == 0
-        assert sketch.dfa_compiled == 0
-        assert sketch.dfa_compile_ms == 0.0
 
     def test_legacy_report_round_trips_to_current_schema(self):
         report = RunReport.from_dict(_load("run_report_v0_legacy.json"))
         upgraded = RunReport.from_json(report.to_json())
         assert upgraded.solutions[0].regex == "Repeat(<num>,3)"
         assert upgraded.to_dict()["provenance"] == "engine"
+
+    def test_v1_report_with_retired_dfa_fields_still_loads(self):
+        # The retired dfa_* keys are ignored on load; everything else in the
+        # v1 report survives, which makes it the v2 report exactly.
+        report = RunReport.from_dict(_load("run_report_v1.json"))
+        assert report.to_dict() == _load("run_report_v2.json")
 
     def test_current_report_fields_are_superset_of_legacy(self):
         # A field present in the legacy fixture must still exist today:
