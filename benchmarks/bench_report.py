@@ -179,48 +179,11 @@ def bench_full_sketch_completion(repeats: int) -> dict:
             "solver_propagations": result.solver_propagations,
             "solver_conflicts": result.solver_conflicts,
             "encode_cache_hits": result.encode_cache_hits,
-            "static_prune_hits": result.static_prune_hits,
-            "static_prune_misses": result.static_prune_misses,
         }
 
     entry = _time_workload(run, repeats)
     entry["expansions_per_sec"] = entry["expansions"] / entry["seconds_min"]
     return entry
-
-
-def bench_static_prune(repeats: int) -> dict:
-    """The Section-2 sketch with the static analyzer on versus off.
-
-    Same search as ``full_sketch_completion``, run twice per iteration: once
-    with ``use_static_analysis`` enabled (the default) and once disabled, so
-    the report carries both the analyzer's hit rate and the net wall-clock
-    effect of the cheap pre-filter in front of the automata-based
-    approximation check.
-    """
-    sketch = parse_sketch(_FULL_SKETCH)
-    examples = _examples()
-    config_on = _CONFIG
-    config_off = SynthesisConfig(hole_depth=2, timeout=15.0, use_static_analysis=False)
-
-    def run():
-        start = time.perf_counter()
-        with_analysis = Synthesizer(config_on).synthesize(sketch, examples)
-        on_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        without = Synthesizer(config_off).synthesize(sketch, examples)
-        off_seconds = time.perf_counter() - start
-        assert with_analysis.solved and without.solved
-        hits = with_analysis.static_prune_hits
-        misses = with_analysis.static_prune_misses
-        return {
-            "static_prune_hits": hits,
-            "static_prune_misses": misses,
-            "static_prune_rate": hits / max(hits + misses, 1),
-            "seconds_with_analysis": on_seconds,
-            "seconds_without_analysis": off_seconds,
-        }
-
-    return _time_workload(run, repeats)
 
 
 #: Service-roundtrip problem: slow enough cold (~2 s of portfolio search for
@@ -429,7 +392,6 @@ def run_snapshot(label: str, repeats: int) -> dict:
         "constant_inference": bench_constant_inference(repeats),
         "constant_inference_heavy": bench_constant_inference_heavy(repeats),
         "full_sketch_completion": bench_full_sketch_completion(repeats),
-        "static_prune": bench_static_prune(repeats),
         "service_roundtrip": bench_service_roundtrip(repeats),
         "corpus_throughput": bench_corpus_throughput(repeats),
         "fault_overhead": bench_fault_overhead(repeats),

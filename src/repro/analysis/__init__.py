@@ -1,12 +1,9 @@
-"""Abstract-interpretation static analysis of sketches and partial regexes.
+"""Abstract-interpretation static analysis of regexes and sketches.
 
 The analyzer computes cheap, sound :class:`~repro.analysis.facts.Facts`
 (match-length intervals, first/last/required character sets, nullability,
-emptiness/universality) per interned subtree and serves three consumers:
+emptiness/universality) per interned subtree and serves two consumers:
 
-* **engine pruning** — :func:`~repro.analysis.check.partial_prune_reason`
-  rejects provably-infeasible partials before the match-set evaluator runs
-  (counted as ``static_prune_hits``/``static_prune_misses`` in reports);
 * **diagnostics** — :func:`~repro.analysis.diagnostics.lint_problem` and
   friends power the ``regel lint`` CLI subcommand;
 * **the service boundary** — ``POST /v1/lint`` and the pre-queue 422
@@ -20,11 +17,9 @@ never produces a wrong "no" (pinned by the differential tests in
 
 from repro.analysis.analyzer import (
     ANALYSIS_CACHE_STATS,
-    facts_of_partial,
     facts_of_regex,
     facts_of_sketch,
 )
-from repro.analysis.check import partial_prune_reason, static_infeasible
 from repro.analysis.diagnostics import (
     Diagnostic,
     SEVERITY_ERROR,
@@ -49,7 +44,6 @@ __all__ = [
     "SEVERITY_INFO",
     "SEVERITY_WARNING",
     "TOP_FACTS",
-    "facts_of_partial",
     "facts_of_regex",
     "facts_of_sketch",
     "has_errors",
@@ -57,7 +51,5 @@ __all__ = [
     "lint_problem",
     "lint_regex",
     "lint_sketch",
-    "partial_prune_reason",
     "problem_unsatisfiable",
-    "static_infeasible",
 ]

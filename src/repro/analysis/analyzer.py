@@ -1,41 +1,20 @@
-"""Computation of :class:`~repro.analysis.facts.Facts` per (partial) program.
+"""Computation of :class:`~repro.analysis.facts.Facts` per regex and sketch.
 
-One transfer per node kind, memoised per interned subtree in the same style
-as :mod:`repro.synthesis.approximate` / :mod:`repro.synthesis.encode`: the
-engine rebuilds only the spine from an expanded node to the root, so every
-off-spine subtree of a successor hits the cache and analysis is incremental
-in the depth of the expanded node.
-
-The partial-regex entry point has two modes:
-
-* ``kmax=None`` mirrors Figures 11–12 exactly — a symbolic integer widens to
-  "at least one repetition" with an empty under side, so every fact here is
-  also a fact about :func:`repro.synthesis.approximate.approximate_partial`'s
-  over-/under-regexes (the property the differential suite pins);
-* ``kmax=K`` additionally exploits that the engine only ever instantiates a
-  symbolic integer ``κ`` within ``[1, K]`` (:mod:`repro.synthesis.encode`
-  bounds it, ``InferConstants`` enumerates models of those bounds), giving
-  sound-for-the-engine length intervals that are strictly tighter.
+One transfer per node kind, memoised per interned regex subtree and per
+sketch (and hole depth).  Sketch facts follow Figure 12: a hole beyond the
+precision bound is ⊤, and an unknown repetition count widens to "at least
+one repetition" with an empty under side, so the facts of a sketch bracket
+every depth-bounded completion of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro import caches
 from repro.dsl import ast as rast
 from repro.dsl.charclass import chars_of
 from repro.sketch import ast as sast
-from repro.synthesis.partial import (
-    FreeLabel,
-    HoleLabel,
-    PartialRegex,
-    PLeaf,
-    POp,
-    POpen,
-    SymInt,
-)
-
 from repro.analysis.facts import (
     EMPTY_FACTS,
     EPSILON_FACTS,
@@ -75,47 +54,6 @@ _BINARY_FACTS = {
     "Or": or_facts,
     "And": and_facts,
 }
-#: Operators handled by :func:`_transfer_op` (everything but the Repeat family).
-_TRANSFER_OPS = frozenset(_UNARY_FACTS) | frozenset(_BINARY_FACTS) | {"Not"}
-
-#: Value-keyed memo over the transfer step itself: the engine rebuilds only
-#: the spine of each successor, and across successors those spine steps apply
-#: the *same* operator to the *same* child-facts values over and over.  The
-#: per-node caches cannot see that (fresh spine nodes are new objects); this
-#: one turns a spine recomputation into one dict hit per level.  Bounded and
-#: simply dropped when full — it is a pure memo.
-_TRANSFER_MEMO: "caches.GuardedDict" = caches.register_cache(
-    "repro.analysis.analyzer._TRANSFER_MEMO", caches.GuardedDict()
-)
-_TRANSFER_MEMO_LIMIT = 1 << 16
-
-
-def _transfer_op(op: str, child_facts: "tuple[Facts, ...]") -> Facts:
-    key = (op, child_facts)
-    cached = _TRANSFER_MEMO.get(key)
-    if cached is not None:
-        return cached
-    result = _apply_op(op, list(child_facts))
-    if len(_TRANSFER_MEMO) >= _TRANSFER_MEMO_LIMIT:
-        with caches.CACHE_LOCK:
-            _TRANSFER_MEMO.clear()
-    return caches.cache_insert(_TRANSFER_MEMO, key, result)
-
-
-def _transfer_repeat(
-    arg_facts: Facts, low: int, high: Optional[int], drop: bool
-) -> Facts:
-    key = (arg_facts, low, high, drop)
-    cached = _TRANSFER_MEMO.get(key)
-    if cached is not None:
-        return cached
-    result = repeat_facts(arg_facts, low, high)
-    if drop:
-        result = drop_under(result)
-    if len(_TRANSFER_MEMO) >= _TRANSFER_MEMO_LIMIT:
-        with caches.CACHE_LOCK:
-            _TRANSFER_MEMO.clear()
-    return caches.cache_insert(_TRANSFER_MEMO, key, result)
 
 
 class AnalysisCacheStats:
@@ -275,98 +213,3 @@ def _concrete_bounds(
     low, high = ints
     assert low is not None and high is not None
     return low, high
-
-
-# ---------------------------------------------------------------------------
-# Partial regexes
-# ---------------------------------------------------------------------------
-
-def facts_of_partial(
-    partial: PartialRegex, hole_depth: int = 3, kmax: Optional[int] = None
-) -> Facts:
-    """Facts bracketing every completion of a partial regex (cached).
-
-    With ``kmax=None`` the result abstracts the Figure-11 approximation pair
-    exactly; with ``kmax=K`` symbolic repetition counts are assumed to lie in
-    ``[1, K]`` (sound for the engine, which never instantiates beyond
-    ``SynthesisConfig.max_kappa``).
-    """
-    # The memo lives *on* the interned node (the `_hash` precedent): an
-    # attribute read is an order of magnitude cheaper than a weak-dict
-    # lookup, and the entry dies with the node exactly like a weak-keyed
-    # one would.  Mutations are single atomic bytecodes on a plain dict, so
-    # a racing thread can at worst overwrite an equal entry (the function is
-    # pure) — a benign lost update, recomputed on the next call.
-    key = (hole_depth, kmax)
-    per_key = getattr(partial, "_facts", None)
-    if per_key is not None:
-        cached = per_key.get(key)
-        if cached is not None:
-            ANALYSIS_CACHE_STATS.hits += 1
-            return cached
-    ANALYSIS_CACHE_STATS.misses += 1
-    facts = _partial_facts_uncached(partial, hole_depth, kmax)
-    if per_key is None:
-        per_key = {}
-        object.__setattr__(partial, "_facts", per_key)
-    per_key[key] = facts
-    return facts
-
-
-def _partial_facts_uncached(
-    partial: PartialRegex, hole_depth: int, kmax: Optional[int]
-) -> Facts:
-    if isinstance(partial, PLeaf):
-        return facts_of_regex(partial.regex)
-    if isinstance(partial, POpen):
-        label = partial.label
-        if isinstance(label, HoleLabel):
-            return _hole_facts(label.components, label.depth)
-        if isinstance(label, FreeLabel):
-            return TOP_FACTS
-        return facts_of_sketch(label, hole_depth)
-    if isinstance(partial, POp):
-        child_facts = tuple(
-            [facts_of_partial(child, hole_depth, kmax) for child in partial.children]
-        )
-        if partial.op in _TRANSFER_OPS:
-            return _transfer_op(partial.op, child_facts)
-        # Repeat family.
-        arg_facts = child_facts[0]
-        if any(isinstance(value, SymInt) for value in partial.ints):
-            low, high = _symbolic_bounds(partial.op, partial.ints, kmax)
-            return _transfer_repeat(arg_facts, low, high, drop=True)
-        low, high = _concrete_bounds(partial.op, partial.ints)
-        return _transfer_repeat(arg_facts, low, high, drop=False)
-    raise TypeError(f"unknown partial regex node: {partial!r}")
-
-
-def _symbolic_bounds(
-    op: str,
-    ints: Tuple[Union[int, SymInt], ...],
-    kmax: Optional[int],
-) -> Tuple[int, Optional[int]]:
-    """Repetition bounds for a Repeat-family node with symbolic integers.
-
-    ``kmax=None`` reproduces Figure 11, rule 5 (``RepeatAtLeast(·, 1)``)
-    regardless of the operator, keeping facts in lock-step with
-    :func:`~repro.synthesis.approximate.approximate_partial`.  ``kmax=K``
-    instead bounds each symbolic integer by ``[1, K]``.
-    """
-    if kmax is None:
-        return 1, None
-
-    def _low(value: Union[int, SymInt]) -> int:
-        return 1 if isinstance(value, SymInt) else value
-
-    def _high(value: Union[int, SymInt]) -> int:
-        return kmax if isinstance(value, SymInt) else value
-
-    if op == "Repeat":
-        (n,) = ints
-        return _low(n), _high(n)
-    if op == "RepeatAtLeast":
-        (n,) = ints
-        return _low(n), None
-    low, high = ints
-    return _low(low), _high(high)

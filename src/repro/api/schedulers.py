@@ -230,8 +230,6 @@ def _solve_sketch_worker(
         "solver_propagations": result.solver_propagations,
         "solver_conflicts": result.solver_conflicts,
         "encode_cache_hits": result.encode_cache_hits,
-        "static_prune_hits": result.static_prune_hits,
-        "static_prune_misses": result.static_prune_misses,
     }
 
 
@@ -310,8 +308,6 @@ class ProcessPoolScheduler:
                         solver_propagations=payload.get("solver_propagations", 0),
                         solver_conflicts=payload.get("solver_conflicts", 0),
                         encode_cache_hits=payload.get("encode_cache_hits", 0),
-                        static_prune_hits=payload.get("static_prune_hits", 0),
-                        static_prune_misses=payload.get("static_prune_misses", 0),
                     )
                     for regex in result.regexes:
                         yield Found(index, regex)

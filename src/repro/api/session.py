@@ -123,8 +123,6 @@ class Session:
                             solver_propagations=result.solver_propagations,
                             solver_conflicts=result.solver_conflicts,
                             encode_cache_hits=result.encode_cache_hits,
-                            static_prune_hits=result.static_prune_hits,
-                            static_prune_misses=result.static_prune_misses,
                         )
                     )
         except GeneratorExit:

@@ -21,7 +21,8 @@ implements a complete solver for exactly that fragment:
   loop (Figure 14) uses so blocking clauses are assumption literals over the
   already-compiled store,
 * :mod:`repro.solver.legacy` — the original recompute-everything
-  backtracker, kept as the reference oracle for differential tests.
+  backtracker.  It is test-only: the differential tests import it from
+  that module as their reference oracle, and it is not re-exported here.
 """
 
 from repro.solver.terms import (
@@ -45,7 +46,6 @@ from repro.solver.terms import (
 )
 from repro.solver.solver import Solver, SolverInstance
 from repro.solver.store import CompiledStore, Interval, SolverStats, UNKNOWN
-from repro.solver.legacy import LegacySolver
 
 __all__ = [
     "Term",
@@ -69,7 +69,6 @@ __all__ = [
     "SolverInstance",
     "CompiledStore",
     "SolverStats",
-    "LegacySolver",
     "Interval",
     "UNKNOWN",
 ]

@@ -37,11 +37,6 @@ class SynthesisConfig:
     max_results: int = 1
     #: Use over-/under-approximation pruning (Section 4.1).
     use_approximation: bool = True
-    #: Run the abstract-interpretation pre-filter (:mod:`repro.analysis`)
-    #: before the match-set evaluator.  It is a refinement of approximation
-    #: pruning, so the Regel-Enum ablation (``use_approximation=False``)
-    #: disables it too.
-    use_static_analysis: bool = True
     #: Use symbolic integers + constraint solving (Section 4.2); when False the
     #: Repeat-family integer arguments are enumerated explicitly.
     use_symbolic_ints: bool = True

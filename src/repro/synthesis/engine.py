@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import List, Optional
 
-from repro.analysis.check import prune_checker
 from repro.dsl import ast as rast
 from repro.dsl.printer import to_dsl_string
 from repro.dsl.simplify import simplify, size as regex_size
@@ -45,6 +44,12 @@ from repro.synthesis.partial import (
 #: Minimum wall-clock allowance for one symbolic-integer enumeration, even
 #: when the scheduler's slice deadline has already passed.
 _MIN_SYMBOLIC_SLICE = 0.05
+
+#: Placeholder for the retired static-analysis pre-filter.  The engine never
+#: calls it; it exists only because the cold benchmark's tracer still reads
+#: and wraps ``engine.prune_checker``, and it goes with the next benchmark
+#: change.
+prune_checker = None
 
 
 @dataclass
@@ -73,10 +78,6 @@ class SynthesisResult:
     solver_conflicts: int = 0
     #: Figure-13 encoding-cache hits attributed to this run.
     encode_cache_hits: int = 0
-    #: Successors pruned by the static analyzer before any membership query
-    #: (hits), and successors the analyzer could not rule out (misses).
-    static_prune_hits: int = 0
-    static_prune_misses: int = 0
 
     @property
     def solved(self) -> bool:
@@ -119,10 +120,6 @@ class SynthesisRun:
         self._rejected: set[rast.Regex] = set()
         self._rejected_contains: set[rast.Regex] = set()
         self._rejected_atleast: dict[rast.Regex, int] = {}
-        # Static pre-filter specialised to this run's examples and config;
-        # it owns a facts→verdict memo (the examples are fixed for the whole
-        # run and successors share facts values heavily).
-        self._static_prune = prune_checker(examples, self.config)
         self._done = False
         self._push(initial_partial(sketch))
 
@@ -200,13 +197,6 @@ class SynthesisRun:
                 if successor in self._seen:
                     continue
                 self._seen.add(successor)
-                # Cheap abstract-interpretation pre-filter: facts alone can
-                # often prove infeasibility without a single membership query.
-                if self._static_prune(successor) is not None:
-                    result.static_prune_hits += 1
-                    result.pruned += 1
-                    continue
-                result.static_prune_misses += 1
                 if infeasible(successor, examples, config):
                     result.pruned += 1
                     continue

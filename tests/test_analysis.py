@@ -6,11 +6,12 @@ it must never produce a wrong "no".  Concretely:
 * over side — a string the evaluator/automata accept must satisfy
   ``facts.may_match`` (a False is a *proof* of rejection);
 * under side — ``facts.must_match(s)`` implies the evaluator accepts ``s``;
-* mirror property — with ``kmax=None``, a partial the facts reject is also
-  rejected by the Figure-11 approximation (``infeasible``), so the static
-  pre-filter can only ever skip work, never change the search;
-* κ mode — with ``kmax=K``, facts must bracket every concrete substitution
-  of the symbolic integers in ``[1, K]``.
+* sketches — the facts of an h-sketch bracket its depth-bounded
+  completions, which is what ``regel lint`` and the service's pre-queue
+  422s rely on.
+
+The engine does not consult the analyzer; its pruning is the Figure-11
+approximation check alone (``tests/test_synthesis_partial.py``).
 
 Three oracles: the match-set evaluator, the automata backend's language
 enumeration, and hypothesis-generated regex/subject pairs.
@@ -20,14 +21,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (
-    TOP_FACTS,
-    facts_of_partial,
-    facts_of_regex,
-    facts_of_sketch,
-    partial_prune_reason,
-    static_infeasible,
-)
+from repro.analysis import TOP_FACTS, facts_of_regex, facts_of_sketch
 from repro.analysis.facts import (
     EMPTY_FACTS,
     EPSILON_FACTS,
@@ -43,16 +37,6 @@ from repro.automata import enumerate_language, language_nonempty, sample_positiv
 from repro.dsl import ast as r
 from repro.dsl.semantics import Matcher
 from repro.sketch import parse_sketch
-from repro.synthesis import (
-    Examples,
-    SynthesisConfig,
-    expand,
-    infeasible,
-    initial_partial,
-    open_nodes,
-)
-from repro.synthesis.expand import SymIntFactory
-from repro.synthesis.partial import PLeaf, POp, SymInt
 
 from test_eval_equivalence import LEAVES, random_regex, random_subject
 
@@ -222,89 +206,10 @@ class TestHypothesisSoundness:
 
 
 # ---------------------------------------------------------------------------
-# Sketches and partial regexes
+# Sketches
 # ---------------------------------------------------------------------------
 
-def _successors(sketch_text: str, config: SynthesisConfig, rounds: int = 2):
-    """A couple of BFS levels of engine expansions for a sketch."""
-    symints = SymIntFactory()
-    frontier = [initial_partial(parse_sketch(sketch_text))]
-    seen = []
-    for _ in range(rounds):
-        next_frontier = []
-        for partial in frontier:
-            nodes = open_nodes(partial)
-            if not nodes:
-                continue
-            for successor in expand(partial, nodes[0], config, symints):
-                seen.append(successor)
-                next_frontier.append(successor)
-        frontier = next_frontier[:40]
-    return seen
-
-
 class TestPartialFacts:
-    CONFIG = SynthesisConfig(hole_depth=2, timeout=5.0)
-
-    def test_concrete_partial_matches_regex_facts(self):
-        regex = r.Concat(r.NUM, r.KleeneStar(r.LET))
-        assert facts_of_partial(PLeaf(regex)) == facts_of_regex(regex)
-
-    def test_static_pruned_implies_approximate_pruned(self):
-        # The mirror property that makes the engine pre-filter a pure
-        # optimisation: with kmax=None every fact abstracts the Figure-11
-        # over/under pair, so a facts rejection implies an automata
-        # rejection.  (The engine only uses kmax=max_kappa, which is
-        # tighter, when symbolic integers are enabled — tested separately.)
-        examples = Examples(["123456789.12", "1.2"], ["12345", "x"])
-        config = SynthesisConfig(
-            hole_depth=2, timeout=5.0, use_symbolic_ints=False
-        )
-        sketch = "Concat(Hole(<num>),Hole(Optional(Concat(<.>,<num>))))"
-        checked = 0
-        for successor in _successors(sketch, config, rounds=3):
-            if static_infeasible(successor, examples, config):
-                checked += 1
-                assert infeasible(successor, examples, config), successor
-        # Concrete partials are where the facts bite hardest; sweep random
-        # regexes against random example sets for volume.
-        rng = random.Random(SEED + 10)
-        for _ in range(300):
-            partial = PLeaf(random_regex(rng, 3))
-            random_examples = Examples(
-                [random_subject(rng) for _ in range(2)],
-                [random_subject(rng) for _ in range(2)],
-            )
-            if static_infeasible(partial, random_examples, config):
-                checked += 1
-                assert infeasible(partial, random_examples, config), (
-                    partial,
-                    random_examples,
-                )
-        assert checked > 20  # the property was actually exercised
-
-    def test_kappa_substitution_soundness(self):
-        # kmax mode: facts must bracket every substitution κ ∈ [1, K].
-        kmax = 4
-        partial = POp(
-            "Concat",
-            (
-                POp("RepeatRange", (PLeaf(r.NUM),), (1, SymInt("k1"))),
-                PLeaf(r.literal("-")),
-            ),
-        )
-        facts = facts_of_partial(partial, hole_depth=2, kmax=kmax)
-        for kappa in range(1, kmax + 1):
-            concrete = r.Concat(r.RepeatRange(r.NUM, 1, kappa), r.literal("-"))
-            for accepted in enumerate_language(concrete, max_length=5, limit=30):
-                assert facts.may_match(accepted), (kappa, accepted, facts)
-
-    def test_symbolic_without_kmax_is_unbounded(self):
-        partial = POp("Repeat", (PLeaf(r.NUM),), (SymInt("k1"),))
-        facts = facts_of_partial(partial, hole_depth=2, kmax=None)
-        assert facts.max_len is None
-        assert facts.min_len <= 1
-
     def test_sketch_facts_bracket_completions(self):
         sketch = parse_sketch("Concat(Hole(<cap>),Hole(<num>))")
         # At depth 1 a hole can only be filled by a component (see
@@ -317,53 +222,3 @@ class TestPartialFacts:
         # interval must widen back out.
         deep = facts_of_sketch(sketch, hole_depth=3)
         assert deep.may_match("AB12")
-
-
-# ---------------------------------------------------------------------------
-# Engine integration: zero false "infeasible" verdicts
-# ---------------------------------------------------------------------------
-
-class TestEnginePruneSoundness:
-    def test_prune_reason_is_none_for_consistent_partial(self):
-        examples = Examples(["12", "99"], ["1", "abc"])
-        config = SynthesisConfig(hole_depth=2, timeout=5.0)
-        partial = PLeaf(r.Repeat(r.NUM, 2))
-        assert partial_prune_reason(partial, examples, config) is None
-
-    def test_disabled_by_config_flags(self):
-        examples = Examples(["ab"], [])
-        partial = PLeaf(r.Repeat(r.NUM, 2))  # provably rejects "ab"
-        on = SynthesisConfig(hole_depth=2, timeout=5.0)
-        assert partial_prune_reason(partial, examples, on) is not None
-        for off in (
-            SynthesisConfig(hole_depth=2, timeout=5.0, use_static_analysis=False),
-            SynthesisConfig(hole_depth=2, timeout=5.0, use_approximation=False),
-        ):
-            assert partial_prune_reason(partial, examples, off) is None
-
-    def test_same_solution_with_and_without_analysis(self):
-        # The pre-filter must not change what the engine finds — only how
-        # much work the match-set evaluator does on the way.
-        from repro.synthesis import Synthesizer
-
-        sketch = parse_sketch("Concat(Hole(<cap>),Hole(<num>))")
-        examples = Examples(["AB12", "XY99"], ["AB1", "ab12"])
-        with_analysis = Synthesizer(
-            SynthesisConfig(hole_depth=2, timeout=10.0)
-        ).synthesize(sketch, examples)
-        without = Synthesizer(
-            SynthesisConfig(hole_depth=2, timeout=10.0, use_static_analysis=False)
-        ).synthesize(sketch, examples)
-        assert with_analysis.solved and without.solved
-        assert with_analysis.regexes == without.regexes
-        assert with_analysis.static_prune_misses > 0
-
-    def test_counters_flow_into_result(self):
-        from repro.synthesis import Synthesizer
-
-        sketch = parse_sketch("Concat(Hole(<num>),Hole(<.>))")
-        examples = Examples(["1.", "2."], ["1", "."])
-        result = Synthesizer(
-            SynthesisConfig(hole_depth=2, timeout=10.0)
-        ).synthesize(sketch, examples)
-        assert result.static_prune_hits + result.static_prune_misses > 0

@@ -24,7 +24,6 @@ from repro.solver import (
     AndF,
     Cmp,
     Const,
-    LegacySolver,
     Mul,
     NotF,
     OrF,
@@ -35,6 +34,7 @@ from repro.solver import (
     var_names,
 )
 from repro.solver import terms as T
+from repro.solver.legacy import LegacySolver
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The fixtures under ``tests/fixtures/`` are committed renderings of the
 `Problem`/`RunReport` JSON wire format:
 
-* ``problem_v1.json`` / ``run_report_v2.json`` — the current schema.  The
+* ``problem_v1.json`` / ``run_report_v3.json`` — the current schema.  The
   round-trip tests pin every field: if a field is renamed or dropped, these
   fail and the change is a conscious wire-format break, not an accident.
 * ``run_report_v0_legacy.json`` — a report as an old client/server (pre
@@ -12,8 +12,10 @@ The fixtures under ``tests/fixtures/`` are committed renderings of the
   taking their documented defaults — so future telemetry fields must stay
   optional-with-default too.
 * ``run_report_v1.json`` — a report carrying the ``dfa_*`` per-sketch
-  counters of the retired compiled-membership evaluator.  It is load-only:
-  current code must still read it and simply drop the retired keys.
+  counters of the retired compiled-membership evaluator, and
+  ``run_report_v2.json`` — one carrying the hit/miss counters of the
+  retired static-analysis pre-filter.  Both are load-only: current code
+  must still read them and simply drop the retired keys.
 * ``batch_v1.json`` — a persisted :class:`~repro.service.BatchRecord` as the
   batch-ingestion endpoint writes it.  Records outlive server processes (that
   is their whole point), so the on-disk shape is a compatibility surface just
@@ -52,7 +54,7 @@ class TestProblemGolden:
         # problem.  If this fails, either hashing changed (cache-busting —
         # update the fixture deliberately) or serialisation changed.
         problem = Problem.from_dict(_load("problem_v1.json"))
-        report = _load("run_report_v2.json")
+        report = _load("run_report_v3.json")
         assert problem.cache_key() == report["cache_key"]
 
     def test_unknown_fields_are_ignored(self):
@@ -64,17 +66,17 @@ class TestProblemGolden:
 
 class TestRunReportGolden:
     def test_round_trip_preserves_every_field(self):
-        data = _load("run_report_v2.json")
+        data = _load("run_report_v3.json")
         report = RunReport.from_dict(data)
         assert report.to_dict() == data
 
     def test_solutions_parse_back_into_the_dsl(self):
-        report = RunReport.from_dict(_load("run_report_v2.json"))
+        report = RunReport.from_dict(_load("run_report_v3.json"))
         for solution in report.solutions:
             assert parse_regex(solution.regex) is solution.ast()
 
     def test_telemetry_fields(self):
-        report = RunReport.from_dict(_load("run_report_v2.json"))
+        report = RunReport.from_dict(_load("run_report_v3.json"))
         assert report.total_expansions == 430
         assert report.total_eval_cache_hits == 3000
         assert report.total_solver_propagations == 60
@@ -100,10 +102,13 @@ class TestBackwardCompat:
         assert upgraded.to_dict()["provenance"] == "engine"
 
     def test_v1_report_with_retired_dfa_fields_still_loads(self):
-        # The retired dfa_* keys are ignored on load; everything else in the
-        # v1 report survives, which makes it the v2 report exactly.
-        report = RunReport.from_dict(_load("run_report_v1.json"))
-        assert report.to_dict() == _load("run_report_v2.json")
+        # The retired keys (dfa_* in v1, the pre-filter counters in v1 and
+        # v2) are ignored on load; everything else survives, which makes
+        # either report the v3 report exactly.
+        current = _load("run_report_v3.json")
+        for name in ("run_report_v1.json", "run_report_v2.json"):
+            report = RunReport.from_dict(_load(name))
+            assert report.to_dict() == current, name
 
     def test_current_report_fields_are_superset_of_legacy(self):
         # A field present in the legacy fixture must still exist today:

@@ -16,8 +16,9 @@ is a property of *all* source files at once:
 
 ``legacy-import``
     ``repro.solver.legacy`` is the pre-PR-4 reference solver, kept for
-    differential tests only.  Production modules must import
-    ``repro.solver`` (whose ``__init__`` alone may re-export it).
+    differential tests only.  No module under ``src/`` may import it, the
+    ``repro.solver`` package included: production code imports
+    ``repro.solver``, which does not re-export it.
 
 ``unregistered-mutable``
     Worker threads share every module-level container.  Mutable module state
@@ -53,7 +54,6 @@ SETATTR_ALLOWED = {
     "repro/solver/terms.py",
     "repro/synthesis/partial.py",
     "repro/synthesis/approximate.py",
-    "repro/analysis/analyzer.py",
 }
 
 #: Module-level empty containers exempt from the registry requirement.
@@ -61,9 +61,6 @@ SETATTR_ALLOWED = {
 MUTABLE_ALLOWED = {
     "repro/caches.py": {"_REGISTRY"},  # the registry itself, locked on write
 }
-
-#: The owning package may re-export the legacy solver for the tests.
-LEGACY_IMPORT_ALLOWED = {"repro/solver/__init__.py"}
 
 MUTABLE_CONSTRUCTORS = {
     "dict",
@@ -145,9 +142,7 @@ def check_file(path: Path, relative: "str | None" = None) -> List[Finding]:
                 )
             )
         # Imports of the differential-testing-only legacy solver.
-        if relative in LEGACY_IMPORT_ALLOWED:
-            pass
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if module.startswith("repro.solver.legacy") or (
                 module == "repro.solver" and any(a.name == "legacy" for a in node.names)
