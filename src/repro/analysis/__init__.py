@@ -16,7 +16,6 @@ never produces a wrong "no" (pinned by the differential tests in
 """
 
 from repro.analysis.analyzer import (
-    ANALYSIS_CACHE_STATS,
     facts_of_regex,
     facts_of_sketch,
 )
@@ -35,7 +34,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.facts import EMPTY_FACTS, EPSILON_FACTS, TOP_FACTS, Facts
 
 __all__ = [
-    "ANALYSIS_CACHE_STATS",
     "Diagnostic",
     "EMPTY_FACTS",
     "EPSILON_FACTS",

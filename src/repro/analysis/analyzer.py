@@ -56,22 +56,6 @@ _BINARY_FACTS = {
 }
 
 
-class AnalysisCacheStats:
-    """Global hit/miss counters for the per-subtree facts caches."""
-
-    __slots__ = ("hits", "misses")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def snapshot(self) -> Tuple[int, int]:
-        return self.hits, self.misses
-
-
-ANALYSIS_CACHE_STATS = AnalysisCacheStats()
-
-
 # ---------------------------------------------------------------------------
 # Concrete regexes
 # ---------------------------------------------------------------------------
@@ -80,9 +64,7 @@ def facts_of_regex(regex: rast.Regex) -> Facts:
     """Facts about a concrete regex (``O = U = L(regex)``)."""
     cached = _REGEX_FACTS.get(regex)
     if cached is not None:
-        ANALYSIS_CACHE_STATS.hits += 1
         return cached
-    ANALYSIS_CACHE_STATS.misses += 1
     facts = _regex_facts_uncached(regex)
     return caches.cache_insert(_REGEX_FACTS, regex, facts)
 
@@ -131,9 +113,7 @@ def facts_of_sketch(sketch: sast.Sketch, hole_depth: int = 3) -> Facts:
     if per_depth is not None:
         cached = per_depth.get(hole_depth)
         if cached is not None:
-            ANALYSIS_CACHE_STATS.hits += 1
             return cached
-    ANALYSIS_CACHE_STATS.misses += 1
     facts = _sketch_facts_uncached(sketch, hole_depth)
     with caches.CACHE_LOCK:
         per_depth = _SKETCH_FACTS.get(sketch)

@@ -214,7 +214,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8765, help="bind port (0 = ephemeral)")
-    serve.add_argument("--workers", type=int, default=2, help="worker threads")
+    serve.add_argument(
+        "--workers", type=int, default=2, help="worker processes (concurrent engine runs)"
+    )
     serve.add_argument(
         "--queue-size", type=int, default=16,
         help="bounded job queue; a full queue answers HTTP 429",

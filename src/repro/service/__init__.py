@@ -14,6 +14,8 @@ Layers (see ``docs/architecture.md``):
   (JSON-directory or SQLite backends, LRU-bounded, counted),
 * :mod:`repro.service.pool` — bounded worker pool, one warm
   :class:`~repro.api.Session` per worker, 429 back-pressure,
+* :mod:`repro.service.worker` — the worker processes those sessions run
+  in, driven over a pipe by the pool's threads,
 * :mod:`repro.service.handlers` — transport-free endpoint logic,
 * :mod:`repro.service.server` — the ``http.server`` routing shim,
 * :mod:`repro.service.client` — a urllib client (``regel client``).

@@ -25,12 +25,13 @@ diagnostics, always 200, nothing queued.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import lint_problem, problem_unsatisfiable
 from repro.api.problem import Problem
@@ -49,6 +50,7 @@ from repro.service.batch import (
 )
 from repro.service.cache import ResultCache, make_cache
 from repro.service.pool import Job, PoolSaturated, WorkerPool
+from repro.service.worker import ProcessSession
 from repro.service.wire import (
     JOB_DONE,
     JOB_FAILED,
@@ -70,7 +72,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    #: Worker threads, each with its own warm :class:`~repro.api.Session`.
+    #: Worker processes, each owning one warm :class:`~repro.api.Session`
+    #: (and each supervised by one pool thread).
     workers: int = 2
     #: Bounded job queue; a full queue answers 429.
     queue_size: int = 16
@@ -96,7 +99,8 @@ class ServiceConfig:
     #: cache path, so one ``--cache-path`` flag relocates both artifacts.
     batch_dir: Optional[str] = None
     #: Extra wall-clock past a job's budget before the pool watchdog settles
-    #: it as failed (the worker is presumed wedged).
+    #: it as failed (the worker is presumed wedged); a worker process that
+    #: has still not answered one more grace later is killed and respawned.
     watchdog_grace: float = 10.0
     watchdog_interval: float = 0.25
     #: Fault-injection spec (``REPRO_FAULTS`` grammar) armed at serve time;
@@ -118,6 +122,18 @@ class ServiceConfig:
         return self.resolved_cache_path() + ".batches"
 
 
+def _build_session(scheduler: str, sketches: int) -> Session:
+    """The warm session a worker process owns (built in the child).
+
+    The NL provider holds the trained semantic parser (the expensive,
+    reusable state); the scheduler is stateless per solve.
+    """
+    return Session(
+        provider=NlSketchProvider(num_sketches=sketches),
+        scheduler=make_scheduler(scheduler),
+    )
+
+
 class ServiceState:
     """The live service: pool + cache + job registry + counters."""
 
@@ -128,6 +144,17 @@ class ServiceState:
                 f"choose from {sorted(SCHEDULERS)}"
             )
         self.config = config
+        #: One per worker, handed out as the pool's threads ask for sessions;
+        #: each starts its child process on its worker's first job.
+        self._sessions: List[ProcessSession] = [
+            ProcessSession(
+                functools.partial(_build_session, config.scheduler, config.sketches),
+                grace=config.watchdog_grace,
+            )
+            for _ in range(config.workers)
+        ]
+        self._unclaimed = list(self._sessions)
+        self._sessions_lock = threading.Lock()
         self.cache = cache if cache is not None else make_cache(
             config.cache_backend,
             config.resolved_cache_path(),
@@ -159,14 +186,9 @@ class ServiceState:
         self._batch_feeder_thread: Optional[threading.Thread] = None
         self._closing = False
 
-    def _make_session(self) -> Session:
-        # One session per worker thread: the NL provider holds the trained
-        # semantic parser (the expensive, reusable state), the scheduler is
-        # stateless per solve.
-        return Session(
-            provider=NlSketchProvider(num_sketches=self.config.sketches),
-            scheduler=make_scheduler(self.config.scheduler),
-        )
+    def _make_session(self) -> ProcessSession:
+        with self._sessions_lock:
+            return self._unclaimed.pop(0)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -601,7 +623,10 @@ class ServiceState:
             "scheduler": self.config.scheduler,
             "requests": requests,
             "cache": self.cache.stats(),
-            "pool": self.pool.stats(),
+            "pool": {
+                **self.pool.stats(),
+                "processes": [session.stats() for session in self._sessions],
+            },
             "jobs": {"tracked": tracked},
             "batches": {
                 "tracked": len(self.batches),
@@ -627,4 +652,6 @@ class ServiceState:
         if self._batch_feeder_thread is not None:
             self._batch_feeder_thread.join(timeout=5.0)
         self.pool.close()
+        for session in self._sessions:
+            session.close()
         self.cache.close()

@@ -8,14 +8,16 @@ the server-side mirror of :meth:`~repro.api.Session.iter_solutions`.
 The pool itself is a fixed set of worker threads over a *bounded* queue:
 when every worker is busy and the queue is full, :meth:`WorkerPool.submit`
 raises :class:`PoolSaturated` and the HTTP layer answers 429 — back-pressure
-instead of unbounded memory growth.  Each worker owns one long-lived
-:class:`~repro.api.Session` (the session holds the trained semantic parser,
-which is exactly the expensive state worth keeping warm); the session's
-scheduler — :class:`~repro.api.InterleavedScheduler` by default,
+instead of unbounded memory growth.  Each worker thread holds one
+long-lived :class:`WorkerSession` from ``session_factory``.  The service
+hands each thread a :class:`~repro.service.worker.ProcessSession`: the warm
+session (and its trained semantic parser) lives in a child process, and the
+thread only supervises it, so engine search runs outside the server's GIL.  The
+session's scheduler — :class:`~repro.api.InterleavedScheduler` by default,
 :class:`~repro.api.ProcessPoolScheduler` for multi-core deployments — is
-what enforces each job's wall-clock budget, so deadline enforcement needs no
-thread killing.  Shutdown is graceful: queued jobs are cancelled, running
-jobs get their cancel tokens fired, and workers are joined.
+what enforces each job's wall-clock budget.  Shutdown is graceful: queued
+jobs are cancelled, running jobs get their cancel tokens fired, and workers
+are joined.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import threading
 import time
 import traceback
 import uuid
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol
 
 from repro.api.problem import Problem
+from repro.api.results import RunReport, Solution
 from repro.api.schedulers import CancelToken
-from repro.api.session import Session
 from repro.faults import fault_point
 from repro.service.wire import (
     JOB_CANCELLED,
@@ -38,6 +40,16 @@ from repro.service.wire import (
     JOB_QUEUED,
     JOB_RUNNING,
 )
+
+
+class WorkerSession(Protocol):
+    """What a worker drives: :class:`~repro.api.Session`'s streaming surface."""
+
+    last_report: Optional[RunReport]
+
+    def iter_solutions(
+        self, problem: Problem, cancel: Optional[CancelToken] = None
+    ) -> Iterator[Solution]: ...
 
 
 class PoolSaturated(Exception):
@@ -131,11 +143,11 @@ class Job:
 
 
 class WorkerPool:
-    """Fixed worker threads + bounded queue; one warm Session per worker."""
+    """Fixed worker threads + bounded queue; one warm session per worker."""
 
     def __init__(
         self,
-        session_factory: Callable[[], Session],
+        session_factory: Callable[[], WorkerSession],
         workers: int = 2,
         queue_size: int = 16,
         on_complete: Optional[Callable[[str, Dict[str, Any]], None]] = None,
@@ -197,7 +209,7 @@ class WorkerPool:
     # -- worker loop ---------------------------------------------------------
 
     def _worker(self) -> None:
-        session: Optional[Session] = None
+        session: Optional[WorkerSession] = None
         while True:
             job = self._queue.get()
             if job is None:  # shutdown sentinel
@@ -220,7 +232,7 @@ class WorkerPool:
                     continue
             self._run(session, job)
 
-    def _run(self, session: Session, job: Job) -> None:
+    def _run(self, session: WorkerSession, job: Job) -> None:
         job.status = JOB_RUNNING
         job.started = time.time()
         with self._stats_lock:
@@ -273,7 +285,10 @@ class WorkerPool:
         its job ``running`` forever and clients polling forever.  The
         watchdog fires the job's cancel token and — thanks to first-wins
         :meth:`Job.finish` — settles it as ``failed`` so pollers get a
-        terminal answer even while the worker thread is still stuck.
+        terminal answer even while the worker thread is still stuck.  A
+        :class:`~repro.service.worker.ProcessSession` built with the same
+        grace then kills a child that has still not answered, which frees
+        the thread and clears ``wedged_workers``.
         """
         while not self._stop_event.wait(self.watchdog_interval):
             now = time.time()

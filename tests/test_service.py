@@ -1,6 +1,11 @@
 """Tests for the HTTP/JSON service: cache backends, pool, handlers, server."""
 
+import functools
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -8,6 +13,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.api import Problem, RunReport
 from repro.service import (
     JsonDirCache,
@@ -22,7 +28,9 @@ from repro.service import (
     make_cache,
     start_server,
 )
+from repro.service.handlers import _build_session
 from repro.service.pool import Job
+from repro.service.worker import ProcessSession
 from repro.service.wire import WireError, parse_problem
 
 FAST_PROBLEM = Problem(
@@ -426,6 +434,10 @@ class TestHttpService:
         stats = client.stats()
         assert {"cache", "pool", "requests", "jobs", "uptime_seconds"} <= set(stats)
         assert stats["pool"]["workers"] == 2
+        assert len(stats["pool"]["processes"]) == 2
+        assert {"pid", "jobs", "restarts", "rss_mb", "peak_rss_mb"} <= set(
+            stats["pool"]["processes"][0]
+        )
         assert stats["cache"]["backend"] == "json"
 
 
@@ -576,6 +588,293 @@ class TestBackPressureHttp:
         finally:
             release.set()
             live.close()
+
+
+# ---------------------------------------------------------------------------
+# Worker processes (real ServiceState: each worker's session is a child)
+# ---------------------------------------------------------------------------
+
+#: Examples the engine cannot solve from a bare hole within its budget, so a
+#: job over them keeps its child searching until it is cancelled.
+_HARD_EXAMPLES = dict(
+    positive=["aab", "abab", "bba", "abbba"],
+    negative=["ab", "ba", "aaa", "bbb", "abba", "baab"],
+)
+SLOW_PROBLEM = Problem("", sketches=["Hole()"], budget=30.0, **_HARD_EXAMPLES)
+#: k=2 over an exact sketch (solved at once) and the hard hole: the first
+#: solution arrives long before the job ends.
+PARTIAL_PROBLEM = Problem(
+    "",
+    sketches=[
+        "Or(Or(Concat(<a>,Concat(<a>,<b>)),Concat(<a>,Concat(<b>,Concat(<a>,<b>)))),"
+        "Or(Concat(<b>,Concat(<b>,<a>)),Concat(<a>,Concat(<b>,Concat(<b>,Concat(<b>,<a>))))))",
+        "Hole()",
+    ],
+    k=2,
+    budget=30.0,
+    **_HARD_EXAMPLES,
+)
+
+
+def _body(problem):
+    return problem.canonical_json().encode("utf-8")
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.01)
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as dead)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _src_env():
+    """The environment for a child interpreter that must import ``repro``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _processes(state):
+    return state.handle_stats()[1]["pool"]["processes"]
+
+
+def _worker_state(tmp_path, **overrides):
+    options = dict(
+        port=0, workers=1, cache_backend="null", cache_path=str(tmp_path), sketches=8
+    )
+    options.update(overrides)
+    return ServiceState(ServiceConfig(**options))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+class TestWorkerProcesses:
+    def test_stats_list_one_process_per_worker(self, tmp_path):
+        state = _worker_state(tmp_path, workers=2)
+        try:
+            assert [entry["pid"] for entry in _processes(state)] == [None, None]
+            assert state.handle_solve(_body(FAST_PROBLEM))[0] == 200
+            started = [entry for entry in _processes(state) if entry["pid"]]
+            assert len(started) == 1
+            entry = started[0]
+            assert entry["jobs"] == 1 and entry["restarts"] == 0
+            assert entry["pid"] != os.getpid()
+            assert 0 < entry["rss_mb"] <= entry["peak_rss_mb"]
+        finally:
+            state.close()
+
+    def test_child_killed_mid_job_fails_it_and_next_job_respawns(self, tmp_path):
+        state = _worker_state(tmp_path)
+        try:
+            assert state.handle_solve(_body(FAST_PROBLEM))[0] == 200
+            pid = _processes(state)[0]["pid"]
+            # Stopped, the child holds the next job without answering, so
+            # the kill below lands mid-job deterministically.
+            os.kill(pid, signal.SIGSTOP)
+            answer = {}
+            solver = threading.Thread(
+                target=lambda: answer.update(result=state.handle_solve(_body(SLOW_PROBLEM)))
+            )
+            solver.start()
+            _wait_until(lambda: _processes(state)[0]["jobs"] == 2)
+            os.kill(pid, signal.SIGKILL)
+            solver.join(timeout=10.0)
+            assert not solver.is_alive(), "sync solve hung on a dead child"
+            status, payload = answer["result"]
+            assert status == 500
+            assert payload["error"]["code"] == "engine_error"
+            assert "died mid-job" in payload["error"]["message"]
+            assert state.pool.stats()["failed"] == 1
+
+            status, report = state.handle_solve(
+                _body(Problem("2 digits", positive=["12", "34"], negative=["1"], budget=10.0))
+            )
+            assert status == 200 and report["solved"]
+            entry = _processes(state)[0]
+            assert entry["pid"] != pid and entry["restarts"] == 1
+            assert not _alive(pid)
+        finally:
+            state.close()
+
+    def test_cancel_stops_the_job_in_its_child(self, tmp_path):
+        state = _worker_state(tmp_path)
+        try:
+            status, record = state.handle_submit(_body(SLOW_PROBLEM))
+            assert status == 202
+            _wait_until(lambda: _processes(state)[0]["jobs"] == 1)
+            pid = _processes(state)[0]["pid"]
+            time.sleep(0.3)  # let the child get into its search
+            cancelled_at = time.monotonic()
+            state.handle_job_cancel(record["job_id"])
+            _wait_until(
+                lambda: state.handle_job_get(record["job_id"])[1]["status"] != "running"
+            )
+            # One interleaved slice (0.2 s) plus the parent's polling period,
+            # with room for a loaded machine.
+            assert time.monotonic() - cancelled_at < 2.0
+            assert state.handle_job_get(record["job_id"])[1]["status"] == "cancelled"
+            entry = _processes(state)[0]
+            assert entry["pid"] == pid and entry["restarts"] == 0  # stopped, not killed
+        finally:
+            state.close()
+
+    def test_partial_solutions_visible_before_job_ends(self, tmp_path):
+        state = _worker_state(tmp_path)
+        try:
+            status, record = state.handle_submit(_body(PARTIAL_PROBLEM))
+            assert status == 202
+
+            def snapshot():
+                return state.handle_job_get(record["job_id"])[1]
+
+            terminal = ("done", "failed", "cancelled")
+            _wait_until(lambda: snapshot()["solutions"] or snapshot()["status"] in terminal)
+            seen = snapshot()
+            assert seen["status"] == "running"
+            assert len(seen["solutions"]) == 1
+            state.handle_job_cancel(record["job_id"])
+        finally:
+            state.close()
+
+    def test_wedged_child_is_killed_and_worker_recovers(self, tmp_path):
+        state = _worker_state(tmp_path, watchdog_grace=1.0, watchdog_interval=0.05)
+        try:
+            assert state.handle_solve(_body(FAST_PROBLEM))[0] == 200
+            pid = _processes(state)[0]["pid"]
+            os.kill(pid, signal.SIGSTOP)  # wedged: never answers, ignores cancel
+            wedged = Problem("3 digits", positive=["123"], negative=["12"], budget=0.5)
+            status, record = state.handle_submit(_body(wedged))
+            assert status == 202
+            _wait_until(lambda: state.pool.stats()["wedged_workers"] == 1)
+            assert state.handle_healthz()[1]["status"] == "degraded"
+            job = state.handle_job_get(record["job_id"])[1]
+            assert job["status"] == "failed" and "watchdog" in job["error"]
+            # One more grace period later the child is killed, the worker
+            # thread comes back, and health recovers.
+            _wait_until(lambda: state.pool.stats()["wedged_workers"] == 0)
+            assert state.handle_healthz()[1]["status"] == "ok"
+            _wait_until(lambda: not _alive(pid))
+
+            assert state.handle_solve(_body(FAST_PROBLEM))[0] == 200
+            entry = _processes(state)[0]
+            assert entry["pid"] != pid and entry["restarts"] == 1
+        finally:
+            state.close()
+
+    def test_process_pool_scheduler_runs_inside_a_worker(self, tmp_path):
+        # Children are non-daemonic: a daemonic one could not start the
+        # scheduler's own process pool.
+        state = _worker_state(tmp_path, scheduler="process-pool")
+        try:
+            status, report = state.handle_solve(_body(FAST_PROBLEM))
+            assert status == 200, report
+            assert report["solved"] and report["scheduler"] == "process-pool"
+            pid = _processes(state)[0]["pid"]
+        finally:
+            state.close()
+        # The scheduler's own processes, still finishing other sketches when
+        # the job returned, go down with the child's process group.
+        _wait_until(lambda: not _group_alive(pid), timeout=5.0)
+
+    def test_closing_the_stream_early_discards_the_child(self):
+        # The child's remaining messages belong to the abandoned job; a
+        # fresh child keeps them from reaching the next one.
+        session = ProcessSession(
+            functools.partial(_build_session, "interleaved", 8), grace=10.0
+        )
+        try:
+            stream = session.iter_solutions(PARTIAL_PROBLEM)
+            assert next(stream).regex
+            pid = session.stats()["pid"]
+            stream.close()
+            assert session.stats()["pid"] is None and not _alive(pid)
+            assert [s.regex for s in session.iter_solutions(FAST_PROBLEM)]
+            assert session.last_report.solved
+            assert session.stats()["restarts"] == 1
+        finally:
+            session.close()
+
+    def test_close_leaves_no_worker_process(self, tmp_path):
+        state = _worker_state(tmp_path, workers=2)
+        try:
+            status, record = state.handle_submit(_body(SLOW_PROBLEM))
+            assert status == 202
+            _wait_until(lambda: any(entry["jobs"] for entry in _processes(state)))
+            # The second worker picks up the next job while the first searches.
+            assert state.handle_solve(_body(FAST_PROBLEM))[0] == 200
+            pids = [entry["pid"] for entry in _processes(state)]
+            assert all(pids)
+        finally:
+            state.close()
+        _wait_until(lambda: not any(_alive(pid) for pid in pids), timeout=5.0)
+        assert state.handle_job_get(record["job_id"])[1]["status"] == "cancelled"
+
+    def test_exit_without_close_does_not_hang(self, tmp_path):
+        # Worker processes are non-daemonic, so multiprocessing's exit hook
+        # would wait for them forever if nothing stopped them first.
+        script = (
+            "from repro.api import Problem\n"
+            "from repro.service import ServiceConfig, ServiceState\n"
+            "state = ServiceState(ServiceConfig(workers=1, cache_backend='null',"
+            f" cache_path={str(tmp_path)!r}))\n"
+            "problem = Problem('3 digits', positive=['123'], negative=['12'], budget=5.0)\n"
+            "print(state.handle_solve(problem.canonical_json().encode())[0])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            timeout=30.0,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "200"
+
+    def test_sigterm_to_regel_serve_leaves_no_worker_process(self, tmp_path):
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--workers", "2", "--quiet", "--cache-path", str(tmp_path / "cache"),
+            ],
+            env=_src_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            line = server.stdout.readline()
+            assert "listening on http://" in line, line
+            base = line.split("listening on ", 1)[1].split()[0]
+            client = ServiceClient(base)
+            assert client.solve(FAST_PROBLEM).solved
+            pids = [entry["pid"] for entry in client.stats()["pool"]["processes"]]
+            assert len([pid for pid in pids if pid]) == 1
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=15.0) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        _wait_until(lambda: not any(_alive(pid) for pid in pids if pid), timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
